@@ -46,9 +46,7 @@ std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
     opts.provider_cpu_us = 100;  // 16 KB pages: cheap requests
     core::SimCluster cluster(&sched, opts);
     sched.SetCurrentNode(cluster.client_node(0));
-    client::ClientOptions copts;
-    copts.data_fanout = 16;
-    auto owner = cluster.NewClient(copts);
+    auto owner = cluster.NewClient();
     auto id = owner->Create(kPsize);
     if (!id.ok()) return;
     // Pre-populate in 4 MB slabs.
@@ -70,7 +68,7 @@ std::vector<double> RunBlobSeer(const std::vector<size_t>& writer_counts,
       for (size_t w = 0; w < writers; w++) {
         tasks.push_back(sched.Spawn([&, w] {
           sched.SetCurrentNode(cluster.client_node(w));
-          auto client = cluster.NewClient(copts);
+          auto client = cluster.NewClient();
           Rng rng(w + 1);
           std::string data(kPsize, static_cast<char>('A' + w % 26));
           for (size_t i = 0; i < updates_each; i++) {

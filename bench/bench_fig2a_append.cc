@@ -44,8 +44,6 @@ std::vector<SeriesPoint> RunSeries(size_t providers, uint64_t psize,
 
     client::ClientOptions copts;
     copts.cache_metadata = cache;
-    copts.data_fanout = 16;
-    copts.meta_fanout = 16;
     auto client = cluster.NewClient(copts);
 
     auto id = client->Create(psize);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -154,10 +155,8 @@ BlobClient::BlobClient(rpc::Transport* transport, std::string vmanager_address,
              return o;
            }()),
       locator_(&dht_, options.cache_capacity),
-      meta_(&dht_, executor_,
-            meta::MetaClientOptions{options.cache_metadata,
-                                    options.cache_capacity,
-                                    options.meta_fanout}),
+      meta_(&dht_, meta::MetaClientOptions{options.cache_metadata,
+                                           options.cache_capacity}),
       providers_(transport, options.channels_per_endpoint) {
   // A zero (or near-zero) poll interval would busy-spin probe RPCs through
   // the executor for the whole wait; enforce a floor.
@@ -278,9 +277,15 @@ std::vector<BlobClient::PageWrite> BlobClient::SplitIntoPages(
 }
 
 Future<Unit> BlobClient::RunWindowed(
-    std::vector<std::function<Future<Unit>()>> tasks, size_t window) {
+    std::vector<std::function<Future<Unit>()>> tasks, size_t window,
+    std::vector<size_t> weights) {
   if (tasks.empty()) return MakeReadyFuture(Status::OK());
-  if (window == 0 || window >= tasks.size()) {
+  size_t total = tasks.size();
+  if (!weights.empty()) {
+    total = 0;
+    for (size_t w : weights) total += w;
+  }
+  if (window == 0 || window >= total) {
     // Unbounded: one parallel wave, no scheduling overhead.
     std::vector<Future<Unit>> all;
     all.reserve(tasks.size());
@@ -294,52 +299,68 @@ Future<Unit> BlobClient::RunWindowed(
   struct WindowOp {
     BlobClient* c = nullptr;
     std::vector<std::function<Future<Unit>()>> tasks;
+    std::vector<size_t> weights;
+    size_t window = 0;
     std::mutex mu;
     size_t next = 0;
-    size_t outstanding = 0;
+    size_t outstanding = 0;  // tasks in flight
+    size_t inflight = 0;     // their summed weight
     Status first_error;
     Promise<Unit> promise;
 
+    // Launches tasks while they fit the window; a task heavier than the
+    // whole window runs alone.
     void Launch(const std::shared_ptr<WindowOp>& self) {
-      size_t i;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        // A failed task stops the refill: a doomed operation (cleanup will
-        // discard everything anyway) should not keep transferring pages.
-        if (next >= tasks.size() || !first_error.ok()) return;
-        i = next++;
-        outstanding++;
-      }
-      tasks[i]().OnReady(nullptr, [self](Result<Unit> r) {
-        bool done;
-        bool refill;
-        Status err;
+      for (;;) {
+        size_t i;
+        size_t w;
         {
-          std::lock_guard<std::mutex> lock(self->mu);
-          self->outstanding--;
-          if (!r.ok() && self->first_error.ok())
-            self->first_error = r.status();
-          refill = self->first_error.ok() && self->next < self->tasks.size();
-          done = self->outstanding == 0 && !refill;
-          err = self->first_error;
+          std::lock_guard<std::mutex> lock(mu);
+          // A failed task stops the refill: a doomed operation (cleanup
+          // will discard everything anyway) should not keep transferring
+          // pages.
+          if (next >= tasks.size() || !first_error.ok()) return;
+          w = weights.empty() ? 1 : weights[next];
+          if (outstanding > 0 && inflight + w > window) return;
+          i = next++;
+          outstanding++;
+          inflight += w;
         }
-        if (done) {
-          self->promise.Set(err.ok() ? Result<Unit>(Unit{})
-                                     : Result<Unit>(std::move(err)));
-          return;
-        }
-        // Refill through the executor: on an inline-completing transport
-        // a direct Launch here would recurse one frame per task.
-        if (refill)
-          self->c->executor_->Schedule([self] { self->Launch(self); });
-      });
+        tasks[i]().OnReady(nullptr, [self, w](Result<Unit> r) {
+          bool done;
+          bool refill;
+          Status err;
+          {
+            std::lock_guard<std::mutex> lock(self->mu);
+            self->outstanding--;
+            self->inflight -= w;
+            if (!r.ok() && self->first_error.ok())
+              self->first_error = r.status();
+            refill =
+                self->first_error.ok() && self->next < self->tasks.size();
+            done = self->outstanding == 0 && !refill;
+            err = self->first_error;
+          }
+          if (done) {
+            self->promise.Set(err.ok() ? Result<Unit>(Unit{})
+                                       : Result<Unit>(std::move(err)));
+            return;
+          }
+          // Refill through the executor: on an inline-completing transport
+          // a direct Launch here would recurse one frame per task.
+          if (refill)
+            self->c->executor_->Schedule([self] { self->Launch(self); });
+        });
+      }
     }
   };
   auto op = std::make_shared<WindowOp>();
   op->c = this;
   op->tasks = std::move(tasks);
+  op->weights = std::move(weights);
+  op->window = window;
   Future<Unit> f = op->promise.GetFuture();
-  for (size_t i = 0; i < window; i++) op->Launch(op);
+  op->Launch(op);
   return f;
 }
 
@@ -1156,13 +1177,16 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
                                               std::vector<uint64_t> bases,
                                               uint64_t range_offset,
                                               char* dst) {
-  // Per-piece chain: resolve the page's current replica set through the
-  // location index (seeding the entry from pre-v3 metadata if absent), then
-  // try replicas in order; any error (dead endpoint, missing object, short
-  // read) advances to the next replica, and a success after a miss triggers
-  // detached read repair. Exhausting the whole set once drops the cached
-  // entry and re-resolves — the rebuilder may have moved the page while
-  // this read was failing over.
+  // Batched waves: every piece's location is resolved in one batch, then
+  // the pieces are grouped by their first replica and each provider gets
+  // one kProviderRead per group. A piece the batch could not serve (failed
+  // item, short read, failed batch RPC, unresolved location) continues in
+  // its own per-piece chain: try the remaining replicas in order; any error
+  // (dead endpoint, missing object, short read) advances to the next
+  // replica, and a success after a miss triggers detached read repair.
+  // Exhausting the whole set once drops the cached entry and re-resolves —
+  // the rebuilder may have moved the page while this read was failing
+  // over.
   struct PieceOp {
     BlobClient* c = nullptr;
     FetchPiece piece;  // piece.providers = legacy seed (empty for v3 pages)
@@ -1173,27 +1197,20 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
     Status last_error;
     Promise<Unit> promise;
 
-    void Start(const std::shared_ptr<PieceOp>& self) {
-      c->locator_.ResolveAsync(piece.pid).OnReady(
-          nullptr, [self](Result<locator::LocationEntry> e) {
-            if (e.ok()) {
-              self->replicas = std::move(e->providers);
-              self->Step(self);
-              return;
-            }
-            if (e.status().IsNotFound() && !self->piece.providers.empty()) {
-              self->SeedFromLegacy(self);
-              return;
-            }
-            if (!self->piece.providers.empty()) {
-              // Location store unreachable: the legacy replica set is stale
-              // at worst — still the best shot at serving the read.
-              self->replicas = self->piece.providers;
-              self->Step(self);
-              return;
-            }
-            self->promise.Set(e.status());
-          });
+    // Continues a piece whose location resolve failed with `s`.
+    void Unresolved(const std::shared_ptr<PieceOp>& self, const Status& s) {
+      if (s.IsNotFound() && !piece.providers.empty()) {
+        SeedFromLegacy(self);
+        return;
+      }
+      if (!piece.providers.empty()) {
+        // Location store unreachable: the legacy replica set is stale at
+        // worst — still the best shot at serving the read.
+        replicas = piece.providers;
+        Step(self);
+        return;
+      }
+      promise.Set(s);
     }
 
     // Pre-v3 page: install a location entry from the replica set embedded
@@ -1287,8 +1304,14 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
     }
   };
 
-  std::vector<std::function<Future<Unit>()>> tasks;
-  tasks.reserve(pieces.size());
+  using PieceOps = std::vector<std::shared_ptr<PieceOp>>;
+  if (pieces.empty()) return MakeReadyFuture(Status::OK());
+  auto ops = std::make_shared<PieceOps>();
+  ops->reserve(pieces.size());
+  std::vector<PageId> pids;
+  std::unordered_map<PageId, size_t> pid_slot;
+  std::vector<size_t> slots;  // per piece: its pid's index in `pids`
+  slots.reserve(pieces.size());
   for (size_t i = 0; i < pieces.size(); i++) {
     auto op = std::make_shared<PieceOp>();
     op->c = this;
@@ -1296,13 +1319,102 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
     // Pieces cover disjoint output ranges, so the copies are safe to run
     // concurrently on completion threads.
     op->out = dst + (bases[i] + op->piece.page_local_off - range_offset);
-    tasks.push_back([op] {
-      Future<Unit> f = op->promise.GetFuture();
-      op->Start(op);
-      return f;
-    });
+    auto [it, fresh] = pid_slot.emplace(op->piece.pid, pids.size());
+    if (fresh) pids.push_back(op->piece.pid);
+    slots.push_back(it->second);
+    ops->push_back(std::move(op));
   }
-  return RunWindowed(std::move(tasks), options_.max_inflight_pages);
+
+  // One batched read: pieces whose item failed continue their own chain at
+  // the second replica.
+  auto read_batch = [this](ProviderId provider,
+                           std::shared_ptr<PieceOps> batch) -> Future<Unit> {
+    return pm_.ResolveAddressAsync(provider)
+        .Then([this, batch](Result<std::string> addr)
+                  -> Future<std::vector<Result<std::string>>> {
+          if (!addr.ok())
+            return MakeReadyFuture<std::vector<Result<std::string>>>(
+                addr.status());
+          std::vector<provider::ReadItem> items;
+          items.reserve(batch->size());
+          for (const auto& op : *batch)
+            items.push_back(provider::ReadItem{op->piece.pid,
+                                               op->piece.src_off,
+                                               op->piece.len});
+          return providers_.ReadPagesAsync(*addr, std::move(items));
+        })
+        .Then([batch](Result<std::vector<Result<std::string>>> got)
+                  -> Future<Unit> {
+          std::vector<Future<Unit>> failed;
+          for (size_t i = 0; i < batch->size(); i++) {
+            const std::shared_ptr<PieceOp>& op = (*batch)[i];
+            Status s = got.ok() ? (*got)[i].status() : got.status();
+            if (s.ok() && (*got)[i]->size() == op->piece.len) {
+              std::memcpy(op->out, (*got)[i]->data(), op->piece.len);
+              continue;
+            }
+            op->last_error =
+                s.ok() ? Status::Corruption("short page read") : s;
+            op->attempt = 1;
+            failed.push_back(op->promise.GetFuture());
+            op->Step(op);
+          }
+          if (failed.empty()) return MakeReadyFuture(Status::OK());
+          return WhenAll(std::move(failed))
+              .Then([](Result<std::vector<Result<Unit>>> rs) -> Status {
+                if (!rs.ok()) return rs.status();
+                return FirstError(*rs);
+              });
+        });
+  };
+
+  return locator_.ResolveManyAsync(pids).Then(
+      [this, ops, slots = std::move(slots), read_batch](
+          Result<std::vector<Result<locator::LocationEntry>>> entries)
+          -> Future<Unit> {
+        // Group the resolved pieces by their first replica; the rest start
+        // their per-piece chain from the failed resolve.
+        std::map<ProviderId, PieceOps> groups;
+        std::vector<std::function<Future<Unit>()>> tasks;
+        std::vector<size_t> weights;
+        for (size_t i = 0; i < ops->size(); i++) {
+          std::shared_ptr<PieceOp> op = (*ops)[i];
+          Status s = entries.ok() ? (*entries)[slots[i]].status()
+                                  : entries.status();
+          if (s.ok()) {
+            op->replicas = (*entries)[slots[i]]->providers;
+            groups[op->replicas[0]].push_back(std::move(op));
+            continue;
+          }
+          tasks.push_back([op, s] {
+            Future<Unit> f = op->promise.GetFuture();
+            op->Unresolved(op, s);
+            return f;
+          });
+          weights.push_back(1);
+        }
+        // Split each group so a batch's requested bytes stay far below
+        // the frame limit and its items fit the in-flight page window.
+        const size_t window = options_.max_inflight_pages;
+        for (const auto& [provider, group] : groups) {
+          for (size_t begin = 0, end; begin < group.size(); begin = end) {
+            uint64_t bytes = group[begin]->piece.len;
+            for (end = begin + 1; end < group.size(); end++) {
+              if (bytes + group[end]->piece.len > kMaxReadBatchBytes ||
+                  (window != 0 && end - begin == window))
+                break;
+              bytes += group[end]->piece.len;
+            }
+            auto batch = std::make_shared<PieceOps>(group.begin() + begin,
+                                                    group.begin() + end);
+            weights.push_back(batch->size());
+            tasks.push_back([read_batch, provider = provider, batch] {
+              return read_batch(provider, batch);
+            });
+          }
+        }
+        return RunWindowed(std::move(tasks), window, std::move(weights));
+      });
 }
 
 Future<std::string> BlobClient::ReadAsync(BlobId id, Version version,

@@ -39,9 +39,6 @@ struct ClientOptions {
   /// Worker threads for the client's internally-owned executor (ignored
   /// when an external executor is supplied).
   size_t io_threads = 16;
-  /// Maximum parallel page transfers per operation (sync helpers; the
-  /// async pipeline is bounded by channels_per_endpoint pipelining).
-  size_t data_fanout = 8;
   /// Distinct providers storing each page (1 = no replication). WRITE fans
   /// every page out to all replicas; READ tries replicas in order with
   /// failover and best-effort read repair.
@@ -59,8 +56,6 @@ struct ClientOptions {
   /// page buffers a replicated write materializes at once); 0 = unlimited,
   /// i.e. the transport's channel pipelining is the only bound.
   size_t max_inflight_pages = 0;
-  /// Maximum parallel metadata (DHT) operations per batch/level.
-  size_t meta_fanout = 16;
   /// Leaf fragment-chain length that triggers page compaction on the next
   /// write to the page (unaligned-write bookkeeping; DESIGN.md 3.2).
   uint32_t max_chain = 16;
@@ -119,6 +114,13 @@ struct ClientStats {
 class BlobClient {
  public:
   static constexpr uint64_t kNoTimeout = UINT64_MAX;
+  /// Requested bytes per batched provider read (a single larger piece goes
+  /// alone). Batching pays off for small pages; capping it this low keeps
+  /// every read buffer below the allocator's mmap threshold, since freeing
+  /// a larger one raises that threshold and the heap then retains the read
+  /// path's transient buffers (perfbench append_shared peak RSS rose 44 %
+  /// with a 4 MiB cap).
+  static constexpr uint64_t kMaxReadBatchBytes = 32 << 10;
 
   /// `dht_nodes` must list the metadata-provider endpoints in the same
   /// order on every client (placement is positional).
@@ -303,11 +305,12 @@ class BlobClient {
   Future<Unit> DeletePagesAsync(std::shared_ptr<PageWriteBatch> batch);
 
   /// Runs `tasks`, keeping at most `window` outstanding (0 = all at once).
-  /// A failure stops the windowed refill (already-launched tasks drain
-  /// first; the unbounded form launches everything up front); resolves
-  /// with the first error.
-  Future<Unit> RunWindowed(
-      std::vector<std::function<Future<Unit>()>> tasks, size_t window);
+  /// With `weights` (one per task), the window bounds the summed weight of
+  /// the outstanding tasks instead of their count. A failure stops the
+  /// windowed refill (already-launched tasks drain first; the unbounded
+  /// form launches everything up front); resolves with the first error.
+  Future<Unit> RunWindowed(std::vector<std::function<Future<Unit>()>> tasks,
+                           size_t window, std::vector<size_t> weights = {});
 
   /// Detached best-effort read repair: copies the full page object from
   /// `providers[good]` back onto the replicas that failed the read
@@ -348,7 +351,10 @@ class BlobClient {
 
   /// Fetches `pieces` into `dst` (piece i lands at
   /// bases[i] + page_local_off - range_offset). `dst` must stay alive until
-  /// resolution; callers own it through their op state.
+  /// resolution; callers own it through their op state. One batched
+  /// location resolve, then one batched read per provider (at most
+  /// kMaxReadBatchBytes each); only the pieces a batch failed fall back to
+  /// per-piece failover.
   Future<Unit> FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
                                     std::vector<uint64_t> bases,
                                     uint64_t range_offset, char* dst);

@@ -1,5 +1,7 @@
 #include "dht/client.h"
 
+#include <map>
+
 #include "common/logging.h"
 #include "rpc/call.h"
 
@@ -29,12 +31,12 @@ Status CallNode(rpc::ChannelPool* pool, const std::string& address,
 
 template <typename Req, typename Rsp>
 Future<Rsp> CallNodeAsync(rpc::ChannelPool* pool, const std::string& address,
-                          rpc::Method method, const Req& req) {
+                          rpc::Method method, Req req) {
   auto ch = pool->Get(address);
   if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
   // The request is shared with the retry continuation, so the bytes are
-  // serialized twice at most but copied into the closure once.
-  auto shared = std::make_shared<Req>(req);
+  // serialized twice at most but never copied.
+  auto shared = std::make_shared<Req>(std::move(req));
   return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, *shared)
       .Then([pool, address, method, shared](Result<Rsp> r) -> Future<Rsp> {
         if (r.ok() || !r.status().IsUnavailable() || !pool->binding())
@@ -200,6 +202,92 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
       return try_replica(req, node);
     });
   }
+  return f;
+}
+
+// One MultiGetAsync call: every round sends each still-unresolved key to
+// its `round`-th placement replica, one kDhtMultiGet per node, and hands
+// the keys that missed to the next round.
+struct DhtClient::MultiGetOp {
+  DhtClient* c = nullptr;
+  std::vector<std::string> keys;
+  std::vector<std::vector<size_t>> replicas;  // placement order, per key
+  std::vector<Result<std::string>> out;
+  Promise<std::vector<Result<std::string>>> promise;
+
+  void Round(const std::shared_ptr<MultiGetOp>& self, size_t round,
+             std::vector<size_t> pending) {
+    std::map<size_t, std::vector<size_t>> by_node;
+    for (size_t k : pending) {
+      if (round < replicas[k].size()) by_node[replicas[k][round]].push_back(k);
+    }
+    if (by_node.empty()) {
+      promise.Set(std::move(out));
+      return;
+    }
+    std::vector<Future<MultiGetResponse>> calls;
+    auto groups = std::make_shared<std::vector<std::vector<size_t>>>();
+    calls.reserve(by_node.size());
+    groups->reserve(by_node.size());
+    for (auto& [node, group] : by_node) {
+      MultiGetRequest req;
+      req.keys.reserve(group.size());
+      for (size_t k : group) req.keys.push_back(keys[k]);
+      calls.push_back(CallNodeAsync<MultiGetRequest, MultiGetResponse>(
+          &c->pool_, c->nodes_[node], rpc::Method::kDhtMultiGet,
+          std::move(req)));
+      groups->push_back(std::move(group));
+    }
+    WhenAll(std::move(calls))
+        .OnReady(nullptr, [self, round, groups](
+                              Result<std::vector<Result<MultiGetResponse>>>
+                                  all) {
+          std::vector<size_t> next;
+          for (size_t g = 0; g < groups->size(); g++) {
+            const std::vector<size_t>& group = (*groups)[g];
+            Status s = all.ok() ? (*all)[g].status() : all.status();
+            MultiGetResponse* rsp = s.ok() ? &*(*all)[g] : nullptr;
+            if (s.ok()) {
+              size_t found = 0;
+              for (uint8_t f : rsp->found) found += f != 0;
+              if (rsp->found.size() != group.size() ||
+                  rsp->values.size() != found)
+                s = Status::Corruption("dht multiget: response counts");
+            }
+            size_t v = 0;
+            for (size_t i = 0; i < group.size(); i++) {
+              size_t k = group[i];
+              if (s.ok() && rsp->found[i]) {
+                self->out[k] = std::move(rsp->values[v++]);
+                continue;
+              }
+              self->out[k] = s.ok() ? Status::NotFound("dht key") : s;
+              next.push_back(k);
+            }
+          }
+          // Fallback depth is bounded by the replication factor, so the
+          // inline recursion stays shallow.
+          self->Round(self, round + 1, std::move(next));
+        });
+  }
+};
+
+Future<std::vector<Result<std::string>>> DhtClient::MultiGetAsync(
+    std::vector<std::string> keys) {
+  auto op = std::make_shared<MultiGetOp>();
+  op->c = this;
+  op->replicas.reserve(keys.size());
+  op->out.reserve(keys.size());
+  std::vector<size_t> pending(keys.size());
+  for (size_t k = 0; k < keys.size(); k++) {
+    op->replicas.push_back(
+        placement_->ReplicaNodes(Slice(keys[k]), options_.replication));
+    op->out.push_back(Status::NotFound("dht key"));
+    pending[k] = k;
+  }
+  op->keys = std::move(keys);
+  auto f = op->promise.GetFuture();
+  op->Round(op, 0, std::move(pending));
   return f;
 }
 

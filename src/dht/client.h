@@ -55,6 +55,16 @@ class DhtClient {
   Future<CasResponse> CasAsync(Slice key, Slice expected, Slice value,
                                bool expect_absent);
 
+  /// Batched GetAsync: keys are grouped by their first placement replica
+  /// and each node receives one kDhtMultiGet. A key the node does not hold,
+  /// or whose node's RPC failed, falls back to its next replica in
+  /// placement order (again one RPC per node per fallback round). Resolves
+  /// to one result per key, in key order: the value, NotFound, or the last
+  /// replica's error. A response whose counts disagree with its request is
+  /// rejected as Corruption.
+  Future<std::vector<Result<std::string>>> MultiGetAsync(
+      std::vector<std::string> keys);
+
   /// Aggregate stats across all nodes.
   Status TotalStats(uint64_t* keys, uint64_t* bytes);
 
@@ -62,6 +72,8 @@ class DhtClient {
   const DhtClientOptions& options() const { return options_; }
 
  private:
+  struct MultiGetOp;
+
   rpc::Transport* transport_;
   std::vector<std::string> nodes_;
   DhtClientOptions options_;

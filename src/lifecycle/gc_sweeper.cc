@@ -60,9 +60,8 @@ GcSweeper::GcSweeper(locator::PageLocationTable* table, ProvidersFn providers,
       vm_(transport, std::move(vm_address), /*channels=*/1),
       dht_(transport, std::move(dht_nodes), dht_options),
       index_(&dht_, /*cache_capacity=*/0),
-      meta_(&dht_, /*executor=*/nullptr,
-            meta::MetaClientOptions{/*cache_enabled=*/false,
-                                    /*cache_capacity=*/0, /*fanout=*/1}),
+      meta_(&dht_, meta::MetaClientOptions{/*cache_enabled=*/false,
+                                           /*cache_capacity=*/0}),
       providers_pool_(transport, /*channels_per_endpoint=*/1) {}
 
 GcSweeper::~GcSweeper() { Stop(); }

@@ -128,6 +128,38 @@ Future<LocationEntry> LocationIndex::ResolveAsync(const PageId& pid) {
       });
 }
 
+Future<std::vector<Result<LocationEntry>>> LocationIndex::ResolveManyAsync(
+    const std::vector<PageId>& pids) {
+  using Out = std::vector<Result<LocationEntry>>;
+  auto out = std::make_shared<Out>();
+  out->reserve(pids.size());
+  auto misses = std::make_shared<std::vector<size_t>>();
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < pids.size(); i++) {
+    LocationEntry entry;
+    if (CacheLookup(pids[i], &entry)) {
+      out->push_back(std::move(entry));
+      continue;
+    }
+    out->push_back(Status::NotFound("location entry"));
+    misses->push_back(i);
+    keys.push_back(LocationKey(pids[i]));
+  }
+  if (misses->empty()) return MakeReadyFuture<Out>(std::move(*out));
+  return dht_->MultiGetAsync(std::move(keys))
+      .Then([this, out, misses, pids](
+                Result<std::vector<Result<std::string>>> bytes) -> Result<Out> {
+        if (!bytes.ok()) return bytes.status();
+        for (size_t j = 0; j < misses->size(); j++) {
+          size_t i = (*misses)[j];
+          const Result<std::string>& b = (*bytes)[j];
+          (*out)[i] = b.ok() ? DecodeEntry(*b) : b.status();
+          if ((*out)[i].ok()) CacheInsert(pids[i], *(*out)[i]);
+        }
+        return std::move(*out);
+      });
+}
+
 Status LocationIndex::Publish(const PageId& pid,
                               std::vector<ProviderId> providers,
                               uint64_t hash_hi, uint64_t hash_lo) {

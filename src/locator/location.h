@@ -71,6 +71,12 @@ class LocationIndex {
   /// entry exists (pre-v3 page not yet seeded, or deleted page).
   Result<LocationEntry> Resolve(const PageId& pid);
   Future<LocationEntry> ResolveAsync(const PageId& pid);
+  /// Batched ResolveAsync: cache hits are served locally and every miss
+  /// travels in one DhtClient::MultiGetAsync (one RPC per DHT node).
+  /// Resolves to one result per pid, in order, each with ResolveAsync's
+  /// contract.
+  Future<std::vector<Result<LocationEntry>>> ResolveManyAsync(
+      const std::vector<PageId>& pids);
 
   /// Installs the entry for a freshly written page at epoch 1 with refs=1.
   /// A plain put: PageIds are minted client-locally and never reused, so no

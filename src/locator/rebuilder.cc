@@ -65,13 +65,18 @@ Status Rebuilder::MovePage(
   const bool from_up = from_it != views.end() && from_it->second.up;
   if (from_up) sources.push_back(&from_it->second);
 
-  provider::ReadRequest read{pid, 0, 0};
+  // A one-item batched read of the whole object.
+  provider::ReadRequest read{{provider::ReadItem{pid, 0, 0}}};
   provider::ReadResponse page;
   Status rs = Status::Unavailable("no live replica to copy from");
   for (const ProviderView* src : sources) {
     page = provider::ReadResponse{};
     rs = CallProvider(&providers_pool_, src->address,
                       rpc::Method::kProviderRead, read, &page);
+    if (rs.ok())
+      rs = page.items.size() == 1
+               ? page.items[0].status()
+               : Status::Corruption("provider read: response item count");
     if (rs.ok()) break;
   }
   if (!rs.ok()) {
@@ -84,7 +89,7 @@ Status Rebuilder::MovePage(
   auto to_it = views.find(to);
   if (to_it == views.end())
     return Status::Internal("rebuild target not in provider view");
-  provider::WriteRequest write{pid, std::move(page.data)};
+  provider::WriteRequest write{pid, std::move(page.items[0]).ValueUnsafe()};
   provider::WriteResponse wrsp;
   BS_RETURN_NOT_OK(CallProvider(&providers_pool_, to_it->second.address,
                                 rpc::Method::kProviderWrite, write, &wrsp));

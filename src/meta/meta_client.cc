@@ -4,9 +4,18 @@
 
 namespace blobseer::meta {
 
-MetaClient::MetaClient(dht::DhtClient* dht, Executor* executor,
-                       MetaClientOptions options)
-    : dht_(dht), executor_(executor), options_(options) {}
+namespace {
+
+Status DecodeNode(const std::string& raw, MetaNode* node) {
+  BinaryReader r{Slice(raw)};
+  BS_RETURN_NOT_OK(node->DecodeFrom(&r));
+  return r.ExpectEnd();
+}
+
+}  // namespace
+
+MetaClient::MetaClient(dht::DhtClient* dht, MetaClientOptions options)
+    : dht_(dht), options_(options) {}
 
 void MetaClient::CacheInsert(const std::string& key, const MetaNode& node) {
   if (!options_.cache_enabled) return;
@@ -55,84 +64,9 @@ Result<MetaNode> MetaClient::GetNode(const NodeKey& key) {
   std::string raw;
   Status s = dht_->Get(Slice(k), &raw);
   if (!s.ok()) return s.WithContext("metadata node " + key.ToString());
-  BinaryReader r{Slice(raw)};
-  BS_RETURN_NOT_OK(node.DecodeFrom(&r));
-  BS_RETURN_NOT_OK(r.ExpectEnd());
+  BS_RETURN_NOT_OK(DecodeNode(raw, &node));
   CacheInsert(k, node);
   return node;
-}
-
-Status MetaClient::WriteNodes(
-    const std::vector<std::pair<NodeKey, MetaNode>>& nodes) {
-  return executor_->ParallelFor(
-      nodes.size(), options_.fanout,
-      [&](size_t i) { return PutNode(nodes[i].first, nodes[i].second); });
-}
-
-Status MetaClient::ReadMeta(const BranchAncestry& ancestry, Version version,
-                            uint64_t blob_size, uint64_t psize,
-                            const Extent& range,
-                            std::vector<LeafRef>* leaves) {
-  leaves->clear();
-  if (range.size == 0) return Status::OK();
-  if (version == 0 || blob_size == 0)
-    return Status::OutOfRange("read from empty snapshot");
-  if (range.end() > blob_size)
-    return Status::OutOfRange("read beyond snapshot size");
-
-  struct Frontier {
-    Extent block;
-    Version version;
-  };
-  std::vector<Frontier> frontier{
-      {Extent{0, RootSizeBytes(blob_size, psize)}, version}};
-  std::vector<MetaNode> fetched;
-
-  while (!frontier.empty()) {
-    fetched.assign(frontier.size(), MetaNode{});
-    Status s = executor_->ParallelFor(
-        frontier.size(), options_.fanout, [&](size_t i) {
-          NodeKey key{ancestry.Resolve(frontier[i].version),
-                      frontier[i].version, frontier[i].block};
-          auto node = GetNode(key);
-          if (!node.ok()) return node.status();
-          fetched[i] = std::move(node).ValueUnsafe();
-          return Status::OK();
-        });
-    BS_RETURN_NOT_OK(s);
-
-    std::vector<Frontier> next;
-    for (size_t i = 0; i < frontier.size(); i++) {
-      const Frontier& f = frontier[i];
-      const MetaNode& node = fetched[i];
-      if (IsLeafBlock(f.block, psize)) {
-        if (!node.is_leaf())
-          return Status::Corruption("inner node at leaf block " +
-                                    f.block.ToString());
-        leaves->push_back(LeafRef{f.block, f.version, node});
-        continue;
-      }
-      if (node.is_leaf())
-        return Status::Corruption("leaf node at inner block " +
-                                  f.block.ToString());
-      Extent left = LeftChildBlock(f.block);
-      Extent right = RightChildBlock(f.block);
-      if (left.Intersects(range)) {
-        if (node.left_version == kNoVersion)
-          return Status::Corruption("hole in read range at " +
-                                    left.ToString());
-        next.push_back(Frontier{left, node.left_version});
-      }
-      if (right.Intersects(range)) {
-        if (node.right_version == kNoVersion)
-          return Status::Corruption("hole in read range at " +
-                                    right.ToString());
-        next.push_back(Frontier{right, node.right_version});
-      }
-    }
-    frontier = std::move(next);
-  }
-  return Status::OK();
 }
 
 Future<Unit> MetaClient::PutNodeAsync(const NodeKey& key,
@@ -158,11 +92,46 @@ Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
         if (!raw.ok())
           return raw.status().WithContext("metadata node " + key.ToString());
         MetaNode node;
-        BinaryReader r{Slice(*raw)};
-        BS_RETURN_NOT_OK(node.DecodeFrom(&r));
-        BS_RETURN_NOT_OK(r.ExpectEnd());
+        BS_RETURN_NOT_OK(DecodeNode(*raw, &node));
         CacheInsert(k, node);
         return node;
+      });
+}
+
+Future<std::vector<MetaNode>> MetaClient::GetNodesAsync(
+    const std::vector<NodeKey>& keys) {
+  using Out = std::vector<MetaNode>;
+  // Misses keep their key (error context) and DHT key (cache insert).
+  struct Miss {
+    size_t index;
+    NodeKey key;
+    std::string dht_key;
+  };
+  auto nodes = std::make_shared<Out>(keys.size());
+  auto misses = std::make_shared<std::vector<Miss>>();
+  std::vector<std::string> miss_keys;
+  for (size_t i = 0; i < keys.size(); i++) {
+    std::string k = keys[i].ToDhtKey();
+    if (CacheLookup(k, &(*nodes)[i])) continue;
+    miss_keys.push_back(k);
+    misses->push_back(Miss{i, keys[i], std::move(k)});
+  }
+  if (misses->empty()) return MakeReadyFuture<Out>(std::move(*nodes));
+  return dht_->MultiGetAsync(std::move(miss_keys))
+      .Then([this, nodes, misses](
+                Result<std::vector<Result<std::string>>> raws) -> Result<Out> {
+        if (!raws.ok()) return raws.status();
+        for (size_t j = 0; j < misses->size(); j++) {
+          const Miss& m = (*misses)[j];
+          const Result<std::string>& raw = (*raws)[j];
+          if (!raw.ok())
+            return raw.status().WithContext("metadata node " +
+                                            m.key.ToString());
+          MetaNode& node = (*nodes)[m.index];
+          BS_RETURN_NOT_OK(DecodeNode(*raw, &node));
+          CacheInsert(m.dht_key, node);
+        }
+        return std::move(*nodes);
       });
 }
 
@@ -211,7 +180,7 @@ Future<std::vector<LeafRef>> MetaClient::ReadMetaAsync(
     return MakeReadyFuture<Out>(
         Status::OutOfRange("read beyond snapshot size"));
 
-  // Level-wise descent: fetch the whole frontier in one parallel wave, then
+  // Level-wise descent: fetch the whole frontier in one batched wave, then
   // expand it, until only leaves remain. State is shared across waves.
   struct Frontier {
     Extent block;
@@ -231,23 +200,22 @@ Future<std::vector<LeafRef>> MetaClient::ReadMetaAsync(
         promise.Set(std::move(leaves));
         return;
       }
-      std::vector<Future<MetaNode>> fetches;
-      fetches.reserve(frontier.size());
+      std::vector<NodeKey> keys;
+      keys.reserve(frontier.size());
       for (const Frontier& f : frontier) {
-        fetches.push_back(mc->GetNodeAsync(
-            NodeKey{ancestry.Resolve(f.version), f.version, f.block}));
+        keys.push_back(
+            NodeKey{ancestry.Resolve(f.version), f.version, f.block});
       }
-      WhenAll(std::move(fetches))
-          .OnReady(nullptr, [self](Result<std::vector<Result<MetaNode>>> all) {
-            Status first = all.ok() ? FirstError(*all) : all.status();
-            if (!first.ok()) {
-              self->promise.Set(std::move(first));
+      mc->GetNodesAsync(keys).OnReady(
+          nullptr, [self](Result<std::vector<MetaNode>> all) {
+            if (!all.ok()) {
+              self->promise.Set(all.status());
               return;
             }
             std::vector<Frontier> next;
             for (size_t i = 0; i < self->frontier.size(); i++) {
               const Frontier& f = self->frontier[i];
-              const MetaNode& node = *(*all)[i];
+              const MetaNode& node = (*all)[i];
               if (IsLeafBlock(f.block, self->psize)) {
                 if (!node.is_leaf()) {
                   self->promise.Set(Status::Corruption(
@@ -372,59 +340,6 @@ Future<Version> MetaClient::ResolveBlockVersionAsync(
   auto f = op->promise.GetFuture();
   op->Step(op);
   return f;
-}
-
-Result<MetaNode> MetaClient::GetNodeMemoized(const NodeKey& key,
-                                             NodeMemo* memo) {
-  if (!memo) return GetNode(key);
-  std::string k = key.ToDhtKey();
-  auto it = memo->find(k);
-  if (it != memo->end()) return it->second;
-  auto node = GetNode(key);
-  if (node.ok()) memo->emplace(std::move(k), *node);
-  return node;
-}
-
-Result<Version> MetaClient::ResolveBlockVersion(const BranchAncestry& ancestry,
-                                                Version published,
-                                                uint64_t published_size,
-                                                uint64_t psize,
-                                                const Extent& block,
-                                                NodeMemo* memo) {
-  if (published == 0 || published_size == 0) return kNoVersion;
-  Extent root{0, RootSizeBytes(published_size, psize)};
-  if (block == root) return published;
-  if (block.offset >= root.size) return kNoVersion;  // beyond published span
-  if (block.size >= root.size)
-    return Status::Internal(
-        "border block contains published root; must be supplied by the "
-        "version manager: " +
-        block.ToString());
-
-  Extent cur = root;
-  Version cur_version = published;
-  while (cur != block) {
-    NodeKey key{ancestry.Resolve(cur_version), cur_version, cur};
-    auto node = GetNodeMemoized(key, memo);
-    if (!node.ok()) return node.status();
-    if (node->is_leaf())
-      return Status::Corruption("unexpected leaf during descent at " +
-                                cur.ToString());
-    Extent left = LeftChildBlock(cur);
-    Version next_version;
-    Extent next;
-    if (left.Contains(block)) {
-      next = left;
-      next_version = node->left_version;
-    } else {
-      next = RightChildBlock(cur);
-      next_version = node->right_version;
-    }
-    if (next_version == kNoVersion) return kNoVersion;  // hole
-    cur = next;
-    cur_version = next_version;
-  }
-  return cur_version;
 }
 
 void MetaClient::InvalidateCache() {

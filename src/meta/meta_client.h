@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/blob_descriptor.h"
-#include "common/executor.h"
 #include "common/future.h"
 #include "common/result.h"
 #include "dht/client.h"
@@ -28,8 +27,6 @@ struct MetaClientOptions {
   /// it to measure raw metadata traffic (Figure 2(a) runs cache-off).
   bool cache_enabled = true;
   size_t cache_capacity = 1 << 16;  // nodes
-  /// Parallel DHT requests per tree level / node batch.
-  size_t fanout = 16;
 };
 
 struct MetaCacheStats {
@@ -48,8 +45,7 @@ struct LeafRef {
 
 class MetaClient {
  public:
-  MetaClient(dht::DhtClient* dht, Executor* executor,
-             MetaClientOptions options = {});
+  explicit MetaClient(dht::DhtClient* dht, MetaClientOptions options = {});
 
   /// Stores one node (and caches it: the writer is the likeliest next
   /// reader during subsequent border descents).
@@ -58,62 +54,48 @@ class MetaClient {
   /// Fetches one node, through the cache.
   Result<MetaNode> GetNode(const NodeKey& key);
 
-  /// Writes a batch of nodes in parallel (paper Algorithm 4, final loop).
-  Status WriteNodes(const std::vector<std::pair<NodeKey, MetaNode>>& nodes);
-
-  /// Paper Algorithm 3 (READ_META): collects every leaf of snapshot
-  /// `version` whose page block intersects `range`. Levels are fetched in
-  /// parallel waves of `fanout`.
-  Status ReadMeta(const BranchAncestry& ancestry, Version version,
-                  uint64_t blob_size, uint64_t psize, const Extent& range,
-                  std::vector<LeafRef>* leaves);
-
-  /// Per-operation node memo: a writer resolving several border blocks of
-  /// one update descends overlapping root-to-block paths, so nodes fetched
-  /// once are reused across the whole BUILD_META (the paper computes the
-  /// border set in a single descent; this keeps that cost at O(depth)
-  /// fetches even with the global cache disabled).
-  using NodeMemo = std::unordered_map<std::string, MetaNode>;
-
-  /// Resolves the version label of `block` within published snapshot
-  /// (`published`, `published_size`) by descending from its root.
-  /// Returns kNoVersion when the block lies beyond the published span or
-  /// under a never-written hole. Fails with Internal when the block
-  /// strictly contains the published root (such blocks must come from the
-  /// version manager's partial border set).
-  Result<Version> ResolveBlockVersion(const BranchAncestry& ancestry,
-                                      Version published,
-                                      uint64_t published_size, uint64_t psize,
-                                      const Extent& block,
-                                      NodeMemo* memo = nullptr);
-
-  /// GetNode through an optional per-operation memo.
-  Result<MetaNode> GetNodeMemoized(const NodeKey& key, NodeMemo* memo);
-
-  /// Thread-safe per-operation memo for the async paths: one update's
-  /// border resolutions run as concurrent continuation chains that share
-  /// fetched nodes.
+  /// Thread-safe per-operation node memo: a writer resolving several
+  /// border blocks of one update descends overlapping root-to-block paths
+  /// as concurrent continuation chains, so nodes fetched once are reused
+  /// across the whole BUILD_META (the paper computes the border set in a
+  /// single descent; this keeps that cost at O(depth) fetches even with
+  /// the global cache disabled).
   struct SharedNodeMemo {
     std::mutex mu;
-    NodeMemo map;
+    std::unordered_map<std::string, MetaNode> map;
   };
 
-  /// Async variants of the node and tree operations. Continuations resolve
-  /// on the DHT transport's completion context; cache hits resolve
-  /// immediately on the calling thread.
+  /// Async node and tree operations. Continuations resolve on the DHT
+  /// transport's completion context; cache hits resolve immediately on the
+  /// calling thread.
   Future<Unit> PutNodeAsync(const NodeKey& key, const MetaNode& node);
   Future<MetaNode> GetNodeAsync(const NodeKey& key);
   Future<MetaNode> GetNodeMemoizedAsync(const NodeKey& key,
                                         std::shared_ptr<SharedNodeMemo> memo);
-  /// All puts are issued at once; per-endpoint pipelining bounds the real
-  /// parallelism (the sync path instead fans out `fanout`-wide).
+  /// Batched GetNodeAsync: cache hits are served locally and every miss
+  /// travels in one DhtClient::MultiGetAsync (one RPC per DHT node).
+  /// Resolves to the nodes in key order, or to the first failed key's
+  /// error.
+  Future<std::vector<MetaNode>> GetNodesAsync(const std::vector<NodeKey>& keys);
+  /// Writes a batch of nodes (paper Algorithm 4, final loop). All puts are
+  /// issued at once; per-endpoint pipelining bounds the real parallelism.
   Future<Unit> WriteNodesAsync(
       std::vector<std::pair<NodeKey, MetaNode>> nodes);
+  /// Paper Algorithm 3 (READ_META): collects every leaf of snapshot
+  /// `version` whose page block intersects `range`. The tree is descended
+  /// one level per wave, and each wave is one GetNodesAsync.
   Future<std::vector<LeafRef>> ReadMetaAsync(const BranchAncestry& ancestry,
                                              Version version,
                                              uint64_t blob_size,
                                              uint64_t psize,
                                              const Extent& range);
+  /// Resolves the version label of `block` within published snapshot
+  /// (`published`, `published_size`) by descending from its root, through
+  /// the optional per-operation `memo`. Resolves to kNoVersion when the
+  /// block lies beyond the published span or under a never-written hole.
+  /// Fails with Internal when the block strictly contains the published
+  /// root (such blocks must come from the version manager's partial
+  /// border set).
   Future<Version> ResolveBlockVersionAsync(
       const BranchAncestry& ancestry, Version published,
       uint64_t published_size, uint64_t psize, const Extent& block,
@@ -128,7 +110,6 @@ class MetaClient {
   bool CacheLookup(const std::string& key, MetaNode* node);
 
   dht::DhtClient* dht_;
-  Executor* executor_;
   MetaClientOptions options_;
 
   mutable std::mutex cache_mu_;

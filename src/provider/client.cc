@@ -65,11 +65,14 @@ Status ProviderClient::WritePage(const std::string& address, const PageId& pid,
 Status ProviderClient::ReadPage(const std::string& address, const PageId& pid,
                                 uint64_t offset, uint64_t len,
                                 std::string* out) {
-  ReadRequest req{pid, offset, len};
+  ReadRequest req{{ReadItem{pid, offset, len}}};
   ReadResponse rsp;
   BS_RETURN_NOT_OK(
       CallProvider(&pool_, address, rpc::Method::kProviderRead, req, &rsp));
-  *out = std::move(rsp.data);
+  if (rsp.items.size() != 1)
+    return Status::Corruption("provider read: response item count");
+  BS_RETURN_NOT_OK(rsp.items[0].status());
+  *out = std::move(rsp.items[0]).ValueUnsafe();
   return Status::OK();
 }
 
@@ -127,12 +130,26 @@ Future<std::string> ProviderClient::ReadPageAsync(const std::string& address,
                                                   const PageId& pid,
                                                   uint64_t offset,
                                                   uint64_t len) {
+  return ReadPagesAsync(address, {ReadItem{pid, offset, len}})
+      .Then([](Result<std::vector<Result<std::string>>> rsp)
+                -> Result<std::string> {
+        if (!rsp.ok()) return rsp.status();
+        return std::move((*rsp)[0]);
+      });
+}
+
+Future<std::vector<Result<std::string>>> ProviderClient::ReadPagesAsync(
+    const std::string& address, std::vector<ReadItem> items) {
+  const size_t n = items.size();
   return CallProviderAsync<ReadRequest, ReadResponse>(
              &pool_, address, rpc::Method::kProviderRead,
-             ReadRequest{pid, offset, len})
-      .Then([](Result<ReadResponse> rsp) -> Result<std::string> {
+             ReadRequest{std::move(items)})
+      .Then([n](Result<ReadResponse> rsp)
+                -> Result<std::vector<Result<std::string>>> {
         if (!rsp.ok()) return rsp.status();
-        return std::move(rsp->data);
+        if (rsp->items.size() != n)
+          return Status::Corruption("provider read: response item count");
+        return std::move(rsp->items);
       });
 }
 

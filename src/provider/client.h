@@ -3,10 +3,12 @@
 #define BLOBSEER_PROVIDER_CLIENT_H_
 
 #include <string>
+#include <vector>
 
 #include "common/future.h"
 #include "common/result.h"
 #include "common/types.h"
+#include "provider/messages.h"
 #include "provider/page_store.h"
 #include "rpc/channel_pool.h"
 #include "rpc/transport.h"
@@ -33,6 +35,12 @@ class ProviderClient {
   Future<std::string> ReadPageAsync(const std::string& address,
                                     const PageId& pid, uint64_t offset,
                                     uint64_t len);
+  /// One kProviderRead carrying every item: resolves to one result per
+  /// item, in order (the bytes, or that item's own error), or to the RPC's
+  /// error. A response with the wrong item count is Corruption.
+  /// ReadPage/ReadPageAsync are its one-item forms.
+  Future<std::vector<Result<std::string>>> ReadPagesAsync(
+      const std::string& address, std::vector<ReadItem> items);
   Future<Unit> DeletePageAsync(const std::string& address, const PageId& pid);
 
  private:

@@ -3,7 +3,9 @@
 #define BLOBSEER_PROVIDER_MESSAGES_H_
 
 #include <string>
+#include <vector>
 
+#include "common/result.h"
 #include "common/serde.h"
 
 namespace blobseer::provider {
@@ -26,26 +28,76 @@ struct WriteResponse {
   Status DecodeFrom(BinaryReader*) { return Status::OK(); }
 };
 
-struct ReadRequest {
+/// One byte range of one page object.
+struct ReadItem {
   PageId pid;
   uint64_t offset = 0;
   uint64_t len = 0;  // 0 = through end of object
+};
+
+/// Batched page read: every item is served independently, so one missing
+/// page or bad range fails only its own item.
+struct ReadRequest {
+  std::vector<ReadItem> items;
   void EncodeTo(BinaryWriter* w) const {
-    w->PutPageId(pid);
-    w->PutU64(offset);
-    w->PutU64(len);
+    w->PutU32(static_cast<uint32_t>(items.size()));
+    for (const ReadItem& it : items) {
+      w->PutPageId(it.pid);
+      w->PutU64(it.offset);
+      w->PutU64(it.len);
+    }
   }
   Status DecodeFrom(BinaryReader* r) {
-    BS_RETURN_NOT_OK(r->GetPageId(&pid));
-    BS_RETURN_NOT_OK(r->GetU64(&offset));
-    return r->GetU64(&len);
+    uint32_t n;
+    BS_RETURN_NOT_OK(r->GetU32(&n));
+    // Each item is a fixed 32 bytes (pid, offset, len).
+    if (static_cast<uint64_t>(n) * 32 > r->remaining())
+      return Status::Corruption("read item count exceeds payload");
+    items.resize(n);
+    for (ReadItem& it : items) {
+      BS_RETURN_NOT_OK(r->GetPageId(&it.pid));
+      BS_RETURN_NOT_OK(r->GetU64(&it.offset));
+      BS_RETURN_NOT_OK(r->GetU64(&it.len));
+    }
+    return Status::OK();
   }
 };
 
+/// One outcome per request item, in order: a status code, then the bytes
+/// (code 0) or the error message.
 struct ReadResponse {
-  std::string data;
-  void EncodeTo(BinaryWriter* w) const { w->PutString(data); }
-  Status DecodeFrom(BinaryReader* r) { return r->GetString(&data); }
+  std::vector<Result<std::string>> items;
+  void EncodeTo(BinaryWriter* w) const {
+    w->PutU32(static_cast<uint32_t>(items.size()));
+    for (const Result<std::string>& it : items) {
+      w->PutU8(static_cast<uint8_t>(it.status().code()));
+      w->PutString(it.ok() ? *it : it.status().message());
+    }
+  }
+  Status DecodeFrom(BinaryReader* r) {
+    uint32_t n;
+    BS_RETURN_NOT_OK(r->GetU32(&n));
+    // Each item costs at least its code byte and 4-byte length prefix.
+    if (static_cast<uint64_t>(n) * 5 > r->remaining())
+      return Status::Corruption("read result count exceeds payload");
+    items.clear();
+    items.reserve(n);
+    for (uint32_t i = 0; i < n; i++) {
+      uint8_t code;
+      std::string bytes;
+      BS_RETURN_NOT_OK(r->GetU8(&code));
+      BS_RETURN_NOT_OK(r->GetString(&bytes));
+      if (code > static_cast<uint8_t>(StatusCode::kInternal))
+        return Status::Corruption("read result status code");
+      if (code == 0) {
+        items.push_back(std::move(bytes));
+      } else {
+        items.push_back(
+            Status::FromCode(static_cast<StatusCode>(code), std::move(bytes)));
+      }
+    }
+    return Status::OK();
+  }
 };
 
 struct DeleteRequest {

@@ -148,7 +148,17 @@ Status ProviderService::Handle(rpc::Method method, Slice payload,
     case rpc::Method::kProviderRead:
       return DispatchTyped<ReadRequest, ReadResponse>(
           payload, response, [this](const ReadRequest& req, ReadResponse* rsp) {
-            return store_->Read(req.pid, req.offset, req.len, &rsp->data);
+            rsp->items.reserve(req.items.size());
+            for (const ReadItem& it : req.items) {
+              std::string data;
+              Status s = store_->Read(it.pid, it.offset, it.len, &data);
+              if (s.ok()) {
+                rsp->items.push_back(std::move(data));
+              } else {
+                rsp->items.push_back(std::move(s));
+              }
+            }
+            return Status::OK();
           });
     case rpc::Method::kProviderDelete:
       return DispatchTyped<DeleteRequest, DeleteResponse>(

@@ -15,6 +15,19 @@
 //
 // The in-process and simulated transports skip framing and pass the payload
 // and Status through directly.
+//
+// Batched read payloads (one request per destination, one result per item;
+// a failed item does not fail its request):
+//   kDhtMultiGet request : [u32 n][n x string key]
+//   kDhtMultiGet response: [u32 n][n x u8 found][u32 m][m x string value]
+//                          (values of the found keys only, in key order)
+//   kProviderRead request : [u32 n][n x (u128 pid, u64 offset, u64 len)]
+//   kProviderRead response: [u32 n][n x (u8 status_code, string bytes)]
+//                          (the bytes on code 0, else the error message)
+// Every string is [u32 len][bytes]. Decoders bound each count by the bytes
+// left in the payload before allocating. The list form of kProviderRead
+// replaced its single-item form outright: like the frame format, client and
+// server always ship from the same tree.
 #ifndef BLOBSEER_RPC_WIRE_H_
 #define BLOBSEER_RPC_WIRE_H_
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "common/random.h"
@@ -120,20 +122,52 @@ TEST(PlacementTest, RingIsMostlyStableUnderGrowth) {
   EXPECT_GT(moved, 0);
 }
 
+/// Serves a DhtService and counts the requests it receives, per method.
+class CountingHandler : public rpc::ServiceHandler {
+ public:
+  explicit CountingHandler(std::shared_ptr<DhtService> svc)
+      : svc_(std::move(svc)) {}
+  Status Handle(rpc::Method method, Slice payload,
+                std::string* response) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      calls_[method]++;
+    }
+    return svc_->Handle(method, payload, response);
+  }
+  int calls(rpc::Method method) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_[method];
+  }
+
+ private:
+  std::shared_ptr<DhtService> svc_;
+  std::mutex mu_;
+  std::map<rpc::Method, int> calls_;
+};
+
 class DhtClientTest : public ::testing::Test {
  protected:
   void SetUp() override {
     for (int i = 0; i < 4; i++) {
       auto svc = std::make_shared<DhtService>();
       services_.push_back(svc);
+      counters_.push_back(std::make_shared<CountingHandler>(svc));
       std::string addr = StrFormat("inproc://dht-%d", i);
-      ASSERT_TRUE(net_.Serve(addr, svc).ok());
+      ASSERT_TRUE(net_.Serve(addr, counters_.back()).ok());
       addresses_.push_back(addr);
     }
   }
 
+  int TotalCalls(rpc::Method method) {
+    int n = 0;
+    for (auto& c : counters_) n += c->calls(method);
+    return n;
+  }
+
   rpc::InProcNetwork net_;
   std::vector<std::shared_ptr<DhtService>> services_;
+  std::vector<std::shared_ptr<CountingHandler>> counters_;
   std::vector<std::string> addresses_;
 };
 
@@ -205,6 +239,122 @@ TEST_F(DhtClientTest, TotalStatsAggregates) {
   ASSERT_TRUE(client.TotalStats(&keys, &bytes).ok());
   EXPECT_EQ(keys, 50u);
   EXPECT_GT(bytes, 500u);
+}
+
+TEST_F(DhtClientTest, MultiGetSendsOneRpcPerNode) {
+  DhtClient client(&net_, addresses_);
+  StaticPlacement placement(addresses_.size());
+  std::vector<std::string> keys;
+  std::set<size_t> nodes;
+  for (int i = 0; i < 40; i++) {
+    keys.push_back("mk" + std::to_string(i));
+    nodes.insert(placement.NodeFor(Slice(keys.back())));
+    // Every third key stays missing.
+    if (i % 3 != 0) {
+      ASSERT_TRUE(
+          client.Put(Slice(keys.back()), Slice("v" + keys.back())).ok());
+    }
+  }
+  ASSERT_EQ(nodes.size(), 4u);
+
+  auto got = client.MultiGetAsync(keys).Wait();
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), keys.size());
+  for (size_t i = 0; i < keys.size(); i++) {
+    if (i % 3 == 0) {
+      EXPECT_TRUE((*got)[i].status().IsNotFound()) << keys[i];
+    } else {
+      ASSERT_TRUE((*got)[i].ok()) << keys[i];
+      EXPECT_EQ(*(*got)[i], "v" + keys[i]);
+    }
+  }
+  // One MultiGet per node, no per-key Get.
+  for (auto& c : counters_) EXPECT_EQ(c->calls(rpc::Method::kDhtMultiGet), 1);
+  EXPECT_EQ(TotalCalls(rpc::Method::kDhtGet), 0);
+
+  auto empty = client.MultiGetAsync({}).Wait();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_EQ(TotalCalls(rpc::Method::kDhtMultiGet), 4);
+}
+
+TEST_F(DhtClientTest, MultiGetFallsBackToSecondReplica) {
+  DhtClientOptions opts;
+  opts.replication = 2;
+  DhtClient client(&net_, addresses_, opts);
+  StaticPlacement placement(addresses_.size());
+  std::vector<std::string> keys;
+  size_t on_victim = 0;
+  for (int i = 0; i < 100; i++) {
+    keys.push_back("fk" + std::to_string(i));
+    if (placement.NodeFor(Slice(keys.back())) == 1) on_victim++;
+    ASSERT_TRUE(client.Put(Slice(keys.back()), Slice(keys.back())).ok());
+  }
+  ASSERT_GT(on_victim, 0u);
+  // Stop every key's primary on node 1: those keys must come from their
+  // second replica.
+  ASSERT_TRUE(net_.StopServing(addresses_[1]).ok());
+  auto got = client.MultiGetAsync(keys).Wait();
+  ASSERT_TRUE(got.ok());
+  for (size_t i = 0; i < keys.size(); i++) {
+    ASSERT_TRUE((*got)[i].ok()) << "lost key " << keys[i];
+    EXPECT_EQ(*(*got)[i], keys[i]);
+  }
+  // The three live primaries answered the first round; node 1's keys took
+  // a second round to their next replicas.
+  EXPECT_GT(TotalCalls(rpc::Method::kDhtMultiGet), 3);
+  EXPECT_EQ(TotalCalls(rpc::Method::kDhtGet), 0);
+}
+
+TEST_F(DhtClientTest, MultiGetKeyOnNoReplicaIsNotFound) {
+  DhtClientOptions opts;
+  opts.replication = 2;
+  DhtClient client(&net_, addresses_, opts);
+  ASSERT_TRUE(client.Put(Slice("here"), Slice("v")).ok());
+  auto got = client.MultiGetAsync({"here", "nowhere"}).Wait();
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 2u);
+  ASSERT_TRUE((*got)[0].ok());
+  EXPECT_EQ(*(*got)[0], "v");
+  EXPECT_TRUE((*got)[1].status().IsNotFound());
+}
+
+/// Answers every MultiGet with a response whose counts disagree with the
+/// request: one found flag too many, or one value too few.
+class ForgedMultiGetHandler : public rpc::ServiceHandler {
+ public:
+  explicit ForgedMultiGetHandler(bool extra_flag) : extra_flag_(extra_flag) {}
+  Status Handle(rpc::Method, Slice payload, std::string* response) override {
+    MultiGetRequest req;
+    BinaryReader r(payload);
+    BS_RETURN_NOT_OK(req.DecodeFrom(&r));
+    MultiGetResponse rsp;
+    rsp.found.assign(req.keys.size() + (extra_flag_ ? 1 : 0), 1);
+    rsp.values.assign(extra_flag_ ? rsp.found.size() : req.keys.size() - 1,
+                      "x");
+    BinaryWriter w;
+    rsp.EncodeTo(&w);
+    *response = std::move(w).TakeBuffer();
+    return Status::OK();
+  }
+
+ private:
+  bool extra_flag_;
+};
+
+TEST(DhtMultiGetTest, MismatchedResponseCountsAreCorruption) {
+  for (bool extra_flag : {true, false}) {
+    rpc::InProcNetwork net;
+    ASSERT_TRUE(net.Serve("inproc://forged",
+                          std::make_shared<ForgedMultiGetHandler>(extra_flag))
+                    .ok());
+    DhtClient client(&net, {"inproc://forged"});
+    auto got = client.MultiGetAsync({"a", "b"}).Wait();
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), 2u);
+    for (const auto& r : *got)
+      EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+  }
 }
 
 }  // namespace

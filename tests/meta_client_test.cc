@@ -28,7 +28,7 @@ class MetaClientTest : public ::testing::Test {
     MetaClientOptions opts;
     opts.cache_enabled = cache;
     opts.cache_capacity = capacity;
-    return MetaClient(dht_.get(), &executor_, opts);
+    return MetaClient(dht_.get(), opts);
   }
 
   // Writes the 4-page tree of paper Figure 1(a): version 1, psize 1.
@@ -48,7 +48,6 @@ class MetaClientTest : public ::testing::Test {
   rpc::InProcNetwork net_;
   std::vector<std::string> addresses_;
   std::unique_ptr<dht::DhtClient> dht_;
-  SerialExecutor executor_;
 };
 
 TEST_F(MetaClientTest, PutGetRoundTrip) {
@@ -105,20 +104,58 @@ TEST_F(MetaClientTest, DisabledCacheAlwaysFetches) {
   EXPECT_EQ(st.puts, 0u);
 }
 
+TEST_F(MetaClientTest, GetNodesServesHitsLocallyAndBatchesMisses) {
+  MetaClient mc = NewClient();
+  std::vector<NodeKey> keys;
+  for (uint64_t i = 0; i < 4; i++) {
+    keys.push_back(NodeKey{3, i + 1, Extent{0, 2}});
+    ASSERT_TRUE(mc.PutNode(keys.back(), MetaNode::Inner(i + 1, 1)).ok());
+  }
+  mc.InvalidateCache();
+  ASSERT_TRUE(mc.GetNode(keys[1]).ok());  // re-cached: 1 miss
+  ASSERT_TRUE(mc.GetNode(keys[3]).ok());  // re-cached: 1 miss
+
+  auto got = mc.GetNodesAsync(keys).Wait();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), 4u);
+  for (uint64_t i = 0; i < 4; i++) EXPECT_EQ((*got)[i].left_version, i + 1);
+  MetaCacheStats st = mc.GetCacheStats();
+  EXPECT_EQ(st.hits, 2u);
+  EXPECT_EQ(st.misses, 4u);
+  // The fetched misses were cached: a repeat is all hits.
+  ASSERT_TRUE(mc.GetNodesAsync(keys).Wait().ok());
+  EXPECT_EQ(mc.GetCacheStats().hits, 6u);
+
+  // One absent key fails the batch with that key's context.
+  keys.push_back(NodeKey{3, 9, Extent{0, 2}});
+  auto missing = mc.GetNodesAsync(keys).Wait();
+  ASSERT_TRUE(missing.status().IsNotFound());
+  EXPECT_NE(missing.status().message().find(keys.back().ToString()),
+            std::string::npos);
+  EXPECT_TRUE(mc.GetNodesAsync({}).Wait().ok());
+}
+
 TEST_F(MetaClientTest, ReadMetaCollectsExactlyTheIntersectingLeaves) {
   MetaClient mc = NewClient();
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
-  std::vector<LeafRef> leaves;
-  ASSERT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{1, 2}, &leaves).ok());
-  ASSERT_EQ(leaves.size(), 2u);
-  EXPECT_EQ(leaves[0].block.offset + leaves[1].block.offset, 1u + 2u);
+  auto leaves = mc.ReadMetaAsync(anc, 1, 4, 1, Extent{1, 2}).Wait();
+  ASSERT_TRUE(leaves.ok());
+  ASSERT_EQ(leaves->size(), 2u);
+  EXPECT_EQ((*leaves)[0].block.offset + (*leaves)[1].block.offset, 1u + 2u);
   // Full range.
-  ASSERT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{0, 4}, &leaves).ok());
-  EXPECT_EQ(leaves.size(), 4u);
+  leaves = mc.ReadMetaAsync(anc, 1, 4, 1, Extent{0, 4}).Wait();
+  ASSERT_TRUE(leaves.ok());
+  EXPECT_EQ(leaves->size(), 4u);
   // Out-of-range read rejected before any fetch.
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{2, 3}, &leaves).IsOutOfRange());
-  EXPECT_TRUE(mc.ReadMeta(anc, 0, 0, 1, Extent{0, 1}, &leaves).IsOutOfRange());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 1, 4, 1, Extent{2, 3})
+                  .Wait()
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 0, 0, 1, Extent{0, 1})
+                  .Wait()
+                  .status()
+                  .IsOutOfRange());
 }
 
 TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
@@ -129,12 +166,17 @@ TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
   ASSERT_TRUE(
       mc.PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, kNoVersion)).ok());
   ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
-  std::vector<LeafRef> leaves;
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{2, 2}, &leaves).IsCorruption());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 1, 4, 1, Extent{2, 2})
+                  .Wait()
+                  .status()
+                  .IsCorruption());
   // Inner node stored where a leaf must live.
   ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 1}}, MetaNode::Inner(1, 1)).ok());
   ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {1, 1}}, MetaNode::Inner(1, 1)).ok());
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{0, 1}, &leaves).IsCorruption());
+  EXPECT_TRUE(mc.ReadMetaAsync(anc, 1, 4, 1, Extent{0, 1})
+                  .Wait()
+                  .status()
+                  .IsCorruption());
 }
 
 TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
@@ -148,13 +190,16 @@ TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
   BranchAncestry anc({{1, kMaxVersion}});
   // Published root of v2: label of (0,4) is 2; page 0's leaf label is 1
   // (shared with v1), page 1's is 2.
-  auto root = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{0, 4});
+  auto root =
+      mc.ResolveBlockVersionAsync(anc, 2, 4, 1, Extent{0, 4}, nullptr).Wait();
   ASSERT_TRUE(root.ok());
   EXPECT_EQ(*root, 2u);
-  auto page0 = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{0, 1});
+  auto page0 =
+      mc.ResolveBlockVersionAsync(anc, 2, 4, 1, Extent{0, 1}, nullptr).Wait();
   ASSERT_TRUE(page0.ok());
   EXPECT_EQ(*page0, 1u);
-  auto mid = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{2, 2});
+  auto mid =
+      mc.ResolveBlockVersionAsync(anc, 2, 4, 1, Extent{2, 2}, nullptr).Wait();
   ASSERT_TRUE(mid.ok());
   EXPECT_EQ(*mid, 2u);
 }
@@ -164,16 +209,19 @@ TEST_F(MetaClientTest, ResolveBlockVersionEdgeCases) {
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
   // Nothing published: every block is a hole.
-  auto none = mc.ResolveBlockVersion(anc, 0, 0, 1, Extent{0, 1});
+  auto none =
+      mc.ResolveBlockVersionAsync(anc, 0, 0, 1, Extent{0, 1}, nullptr).Wait();
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none, kNoVersion);
   // Beyond the published span: hole.
-  auto beyond = mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{4, 2});
+  auto beyond =
+      mc.ResolveBlockVersionAsync(anc, 1, 4, 1, Extent{4, 2}, nullptr).Wait();
   ASSERT_TRUE(beyond.ok());
   EXPECT_EQ(*beyond, kNoVersion);
   // Strictly containing the published root: must come from the version
   // manager, so the client reports Internal.
-  EXPECT_TRUE(mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{0, 8})
+  EXPECT_TRUE(mc.ResolveBlockVersionAsync(anc, 1, 4, 1, Extent{0, 8}, nullptr)
+                  .Wait()
                   .status()
                   .IsInternal());
 }
@@ -186,16 +234,17 @@ TEST_F(MetaClientTest, MemoAvoidsRepeatFetchesWithinOneOperation) {
   uint64_t keys0 = 0, bytes0 = 0;
   ASSERT_TRUE(dht_->TotalStats(&keys0, &bytes0).ok());
 
-  MetaClient::NodeMemo memo;
+  auto memo = std::make_shared<MetaClient::SharedNodeMemo>();
   // Resolving all four leaves shares the root and mid-level fetches.
   for (uint64_t p = 0; p < 4; p++) {
-    auto v = mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{p, 1}, &memo);
+    auto v =
+        mc.ResolveBlockVersionAsync(anc, 1, 4, 1, Extent{p, 1}, memo).Wait();
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(*v, 1u);
   }
   // Distinct nodes on the 4 paths: root + 2 mid nodes = 3 fetches (leaf
   // labels come from the parents). The memo holds exactly those.
-  EXPECT_EQ(memo.size(), 3u);
+  EXPECT_EQ(memo->map.size(), 3u);
   (void)before_total;
 }
 
@@ -207,7 +256,7 @@ TEST_F(MetaClientTest, WriteNodesBatchIsAtomicPerNode) {
                        MetaNode::Leaf({PageFragment{PageId{9, i}, {0}, 0, 1, 0}},
                                       kNoVersion, 1));
   }
-  ASSERT_TRUE(mc.WriteNodes(nodes).ok());
+  ASSERT_TRUE(mc.WriteNodesAsync(nodes).Wait().ok());
   for (uint64_t i = 0; i < 50; i++) {
     auto got = mc.GetNode(NodeKey{9, 1, Extent{i, 1}});
     ASSERT_TRUE(got.ok());
@@ -226,10 +275,12 @@ TEST_F(MetaClientTest, BranchAncestryRoutesVersionsToOrigins) {
   EXPECT_EQ(anc.Resolve(3), 1u);
   EXPECT_EQ(anc.Resolve(4), 2u);
   // Descent through the branch point mixes origins transparently.
-  auto label = mc.ResolveBlockVersion(anc, 4, 2, 1, Extent{0, 1});
+  auto label =
+      mc.ResolveBlockVersionAsync(anc, 4, 2, 1, Extent{0, 1}, nullptr).Wait();
   ASSERT_TRUE(label.ok());
   EXPECT_EQ(*label, 4u);
-  auto shared = mc.ResolveBlockVersion(anc, 2, 2, 1, Extent{0, 1});
+  auto shared =
+      mc.ResolveBlockVersionAsync(anc, 2, 2, 1, Extent{0, 1}, nullptr).Wait();
   ASSERT_TRUE(shared.ok());
   EXPECT_EQ(*shared, 2u);
 }

@@ -170,6 +170,35 @@ TEST_P(PageStoreTest, DeletePersistsAcrossReopen) {
   EXPECT_TRUE(store_->Read(PageId{4, 2}, 0, 0, &out).IsNotFound());
 }
 
+TEST_P(PageStoreTest, BatchedReadReportsPerItemErrors) {
+  ASSERT_TRUE(store_->Put(PageId{7, 1}, Slice("0123456789")).ok());
+  ASSERT_TRUE(store_->Put(PageId{7, 2}, Slice("abcdef")).ok());
+  // The service serves this engine; one kProviderRead carries every item.
+  rpc::InProcNetwork net;
+  ASSERT_TRUE(
+      net.Serve("inproc://prov",
+                std::make_shared<ProviderService>(std::move(store_)))
+          .ok());
+  ProviderClient client(&net);
+  auto got = client
+                 .ReadPagesAsync("inproc://prov",
+                                 {ReadItem{PageId{7, 1}, 0, 0},
+                                  ReadItem{PageId{7, 9}, 0, 4},   // missing
+                                  ReadItem{PageId{7, 2}, 4, 8},   // too long
+                                  ReadItem{PageId{7, 2}, 1, 3}})
+                 .Wait();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), 4u);
+  ASSERT_TRUE((*got)[0].ok());
+  EXPECT_EQ(*(*got)[0],
+            stores_content() ? "0123456789" : std::string(10, '\0'));
+  EXPECT_TRUE((*got)[1].status().IsNotFound()) << (*got)[1].status().ToString();
+  EXPECT_TRUE((*got)[2].status().IsOutOfRange())
+      << (*got)[2].status().ToString();
+  ASSERT_TRUE((*got)[3].ok());
+  EXPECT_EQ(*(*got)[3], stores_content() ? "bcd" : std::string(3, '\0'));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, PageStoreTest,
     ::testing::Values(BackendParam{"memory", true, false},

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <set>
 
 #include "core/cluster.h"
@@ -450,6 +452,183 @@ TEST(ReplicationClusterTest, FailedReplicatedWriteDeletesAllIncarnations) {
   ASSERT_TRUE((*cluster)->TotalProviderUsage(&pages, &bytes).ok());
   EXPECT_EQ(pages, 0u);
   EXPECT_EQ(bytes, 0u);
+}
+
+/// Forwards to another transport and counts the requests sent, per method.
+class CountingTransport : public rpc::Transport {
+ public:
+  explicit CountingTransport(rpc::Transport* inner) : inner_(inner) {}
+
+  Result<std::string> Serve(
+      const std::string& address,
+      std::shared_ptr<rpc::ServiceHandler> handler) override {
+    return inner_->Serve(address, std::move(handler));
+  }
+  Status StopServing(const std::string& address) override {
+    return inner_->StopServing(address);
+  }
+  Result<std::shared_ptr<rpc::Channel>> Connect(
+      const std::string& address) override {
+    auto ch = inner_->Connect(address);
+    if (!ch.ok()) return ch.status();
+    return std::shared_ptr<rpc::Channel>(
+        std::make_shared<CountedChannel>(this, std::move(*ch)));
+  }
+
+  int calls(rpc::Method method) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_[method];
+  }
+
+ private:
+  class CountedChannel : public rpc::Channel {
+   public:
+    CountedChannel(CountingTransport* t, std::shared_ptr<rpc::Channel> inner)
+        : t_(t), inner_(std::move(inner)) {}
+    Status Call(rpc::Method method, Slice request,
+                std::string* response) override {
+      t_->Count(method);
+      return inner_->Call(method, request, response);
+    }
+    void CallAsync(rpc::Method method, Slice request,
+                   rpc::CallCallback done) override {
+      t_->Count(method);
+      inner_->CallAsync(method, request, std::move(done));
+    }
+
+   private:
+    CountingTransport* t_;
+    std::shared_ptr<rpc::Channel> inner_;
+  };
+
+  void Count(rpc::Method method) {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_[method]++;
+  }
+
+  rpc::Transport* inner_;
+  std::mutex mu_;
+  std::map<rpc::Method, int> calls_;
+};
+
+TEST(ReplicationClusterTest, BatchedReadFailsOverOnlyTheMissingPiece) {
+  core::ClusterOptions opts;
+  opts.num_providers = 3;
+  opts.num_meta = 2;
+  opts.replication = 2;
+  auto cluster = core::EmbeddedCluster::Start(opts);
+  ASSERT_TRUE(cluster.ok());
+  CountingTransport counting((*cluster)->transport());
+  client::ClientOptions copts;
+  copts.replication = 2;
+  BlobClient client(&counting, (*cluster)->vmanager_address(),
+                    (*cluster)->pmanager_address(),
+                    (*cluster)->dht_addresses(), copts);
+
+  auto id = client.Create(64);
+  ASSERT_TRUE(id.ok());
+  Blob blob(&client, *id);
+  std::string payload = TestPayload(1, 6 * 64);
+  ASSERT_TRUE(blob.AppendSync(payload).ok());
+
+  // Every page's primary replica; page 2 then loses its object on the
+  // primary only (the endpoint stays up).
+  std::set<ProviderId> primaries;
+  PageId lost_pid;
+  ProviderId lost = kInvalidProvider;
+  for (uint64_t p = 0; p < 6; p++) {
+    auto leaf = client.meta().GetNode(NodeKey{*id, 1, Extent{p * 64, 64}});
+    ASSERT_TRUE(leaf.ok());
+    ASSERT_EQ(leaf->fragments.size(), 1u);
+    auto entry = client.locator().Resolve(leaf->fragments[0].pid);
+    ASSERT_TRUE(entry.ok());
+    ASSERT_EQ(entry->providers.size(), 2u);
+    primaries.insert(entry->providers[0]);
+    if (p == 2) {
+      lost_pid = leaf->fragments[0].pid;
+      lost = entry->providers[0];
+    }
+  }
+  ASSERT_LT(primaries.size(), 6u);
+  ASSERT_TRUE((*cluster)->provider(lost).store().Delete(lost_pid).ok());
+
+  const int reads_before = counting.calls(rpc::Method::kProviderRead);
+  std::string out;
+  ASSERT_TRUE(blob.Read(1, 0, 6 * 64, &out).ok());
+  EXPECT_EQ(out, payload);
+  EXPECT_EQ(client.GetStats().failover_reads, 1u);
+
+  // Read repair runs detached; wait until it re-stored the object.
+  Stopwatch deadline;
+  while (client.GetStats().read_repairs == 0 &&
+         deadline.ElapsedSeconds() < 10.0) {
+    RealClock::Default()->SleepForMicros(2000);
+  }
+  ASSERT_EQ(client.GetStats().read_repairs, 1u);
+  std::string repaired;
+  ASSERT_TRUE(
+      (*cluster)->provider(lost).store().Read(lost_pid, 0, 0, &repaired).ok());
+  EXPECT_EQ(repaired, payload.substr(2 * 64, 64));
+
+  // One batched read per primary served the other five pieces; the lost
+  // piece cost one failover read and the repair one whole-object read.
+  EXPECT_EQ(counting.calls(rpc::Method::kProviderRead) - reads_before,
+            static_cast<int>(primaries.size()) + 2);
+}
+
+TEST(ReplicationClusterTest, BatchedReadsSplitAtByteCapAndWindow) {
+  // 4 KiB pages on two providers: a whole-blob read asks each provider for
+  // 32 pages, so its batches split at the byte cap; with a 3-page
+  // in-flight window they split at 3 items instead.
+  core::ClusterOptions opts;
+  opts.num_providers = 2;
+  opts.num_meta = 2;
+  auto cluster = core::EmbeddedCluster::Start(opts);
+  ASSERT_TRUE(cluster.ok());
+  constexpr uint64_t kPage = 4096;
+  constexpr size_t kPages = 64;
+  static_assert(BlobClient::kMaxReadBatchBytes / kPage < kPages / 2);
+  std::string payload = TestPayload(3, kPages * kPage);
+  BlobId id = kInvalidBlobId;
+  std::map<ProviderId, size_t> pages_on;
+  {
+    auto writer = (*cluster)->NewClient();
+    ASSERT_TRUE(writer.ok());
+    auto created = (*writer)->Create(kPage);
+    ASSERT_TRUE(created.ok());
+    id = *created;
+    Blob blob(writer->get(), id);
+    ASSERT_TRUE(blob.AppendSync(payload).ok());
+    for (uint64_t p = 0; p < kPages; p++) {
+      auto leaf =
+          (*writer)->meta().GetNode(NodeKey{id, 1, Extent{p * kPage, kPage}});
+      ASSERT_TRUE(leaf.ok());
+      auto entry = (*writer)->locator().Resolve(leaf->fragments[0].pid);
+      ASSERT_TRUE(entry.ok());
+      pages_on[entry->providers[0]]++;
+    }
+  }
+  ASSERT_EQ(pages_on.size(), 2u);
+
+  for (size_t window : {size_t{0}, size_t{3}}) {
+    CountingTransport counting((*cluster)->transport());
+    client::ClientOptions copts;
+    copts.max_inflight_pages = window;
+    BlobClient client(&counting, (*cluster)->vmanager_address(),
+                      (*cluster)->pmanager_address(),
+                      (*cluster)->dht_addresses(), copts);
+    std::string out;
+    ASSERT_TRUE(client.Read(id, 1, 0, payload.size(), &out).ok());
+    EXPECT_TRUE(out == payload) << "window " << window;
+    const size_t per_batch =
+        window == 0 ? BlobClient::kMaxReadBatchBytes / kPage : window;
+    int expected = 0;
+    for (const auto& [provider, n] : pages_on)
+      expected += static_cast<int>((n + per_batch - 1) / per_batch);
+    EXPECT_EQ(counting.calls(rpc::Method::kProviderRead), expected)
+        << "window " << window;
+    EXPECT_EQ(client.GetStats().failover_reads, 0u);
+  }
 }
 
 TEST(ReplicationClusterTest, InflightWindowBoundsReplicatedWrites) {

@@ -52,6 +52,29 @@ TEST(FuzzDecodeTest, MultiGetResponseSurvivesGarbage) {
 TEST(FuzzDecodeTest, ProviderReadRequestSurvivesGarbage) {
   FuzzDecode<provider::ReadRequest>(5, 3000);
 }
+TEST(FuzzDecodeTest, ProviderReadResponseSurvivesGarbage) {
+  FuzzDecode<provider::ReadResponse>(8, 3000);
+}
+TEST(FuzzDecodeTest, ProviderReadCountsAreBoundedByPayload) {
+  // A huge item count over a short payload is rejected before anything is
+  // allocated for it.
+  BinaryWriter w;
+  w.PutU32(0xFFFFFFFFu);
+  w.PutU64(0);
+  provider::ReadRequest req;
+  BinaryReader rq{Slice(w.buffer())};
+  EXPECT_TRUE(req.DecodeFrom(&rq).IsCorruption());
+  provider::ReadResponse rsp;
+  BinaryReader rr{Slice(w.buffer())};
+  EXPECT_TRUE(rsp.DecodeFrom(&rr).IsCorruption());
+  // An unknown per-item status code is corruption too.
+  BinaryWriter bad;
+  bad.PutU32(1);
+  bad.PutU8(200);
+  bad.PutString("msg");
+  BinaryReader rb{Slice(bad.buffer())};
+  EXPECT_TRUE(rsp.DecodeFrom(&rb).IsCorruption());
+}
 TEST(FuzzDecodeTest, BlobDescriptorSurvivesGarbage) {
   FuzzDecode<BlobDescriptor>(6, 3000);
 }
